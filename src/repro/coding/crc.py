@@ -46,19 +46,18 @@ def crc32_bits(bits) -> np.ndarray:
     register = _MASK
     aligned = (array.size // 8) * 8
     if aligned:
-        for byte in np.packbits(array[:aligned]):
-            index = ((register >> 24) ^ int(byte)) & 0xFF
+        for byte in np.packbits(array[:aligned]).tolist():
+            index = ((register >> 24) ^ byte) & 0xFF
             register = ((register << 8) & _MASK) ^ _TABLE[index]
-    for bit in array[aligned:]:
+    for bit in array[aligned:].tolist():
         top = (register >> 31) & 1
         register = (register << 1) & _MASK
-        if top ^ int(bit):
+        if top ^ bit:
             register ^= _POLYNOMIAL
     register ^= _MASK
-    out = np.empty(CRC_BITS, dtype=np.uint8)
-    for index in range(CRC_BITS):
-        out[index] = (register >> (CRC_BITS - 1 - index)) & 1
-    return out
+    # The 32 register bits MSB-first: the big-endian bytes, unpacked.
+    return np.unpackbits(np.frombuffer(register.to_bytes(4, "big"),
+                                       dtype=np.uint8))
 
 
 def append_crc(bits) -> np.ndarray:

@@ -43,24 +43,40 @@ VITERBI_STRATEGIES = ("batch", "scalar")
 def _traceback(backpointers: np.ndarray, final_state: int) -> np.ndarray:
     num_steps, num_states = backpointers.shape
     half = num_states // 2
-    decisions = np.empty(num_steps, dtype=np.uint8)
+    survivor = backpointers.item
+    states = [0] * num_steps
     state = final_state
     for step in range(num_steps - 1, -1, -1):
-        # The input bit that produced `state` is its high bit; the
-        # surviving predecessor was recorded during the forward sweep.
-        decisions[step] = state // half
-        state = (state % half) * 2 + backpointers[step, state]
-    return decisions
+        # The surviving predecessor was recorded during the forward sweep.
+        states[step] = state
+        state = (state % half) * 2 + survivor(step, state)
+    # The input bit that produced each visited state is its high bit.
+    return (np.array(states) // half).astype(np.uint8)
+
+
+#: Trellis tables per (constraint length, polynomials): they depend on the
+#: code alone, and every decoded block of a frame uses the same code.
+_TRELLIS_TABLES: dict[tuple, tuple] = {}
 
 
 def _trellis_tables(code: ConvolutionalCode):
-    """Predecessor indices and packed expected-output patterns.
+    """Predecessor indices and packed expected-output patterns (cached,
+    read-only).
 
     Predecessors of state t: states ``2*(t % half)`` and ``2*(t % half) +
     1``, reached with input bit ``t // half`` (the packed-register
     convention).  The expected outputs of each transition pack into a
-    pattern index so the per-step branch costs become a single gather.
+    pattern index so the branch costs of a whole block become a single
+    gather.
     """
+    key = (code.constraint_length, code.polynomials)
+    tables = _TRELLIS_TABLES.get(key)
+    if tables is None:
+        tables = _TRELLIS_TABLES[key] = _build_trellis_tables(code)
+    return tables
+
+
+def _build_trellis_tables(code: ConvolutionalCode) -> tuple:
     num_states = code.num_states
     expected = code.trellis_outputs()           # (states, 2, outputs)
     half = num_states // 2
@@ -71,7 +87,10 @@ def _trellis_tables(code: ConvolutionalCode):
     weights = 1 << np.arange(code.num_outputs)
     pattern_from0 = (expected[pred0, input_bits, :] * weights).sum(axis=1)
     pattern_from1 = (expected[pred1, input_bits, :] * weights).sum(axis=1)
-    return pred0, pred1, pattern_from0, pattern_from1
+    tables = (pred0, pred1, pattern_from0, pattern_from1)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _pattern_costs(steps: np.ndarray, outputs_per_step: int) -> np.ndarray:
@@ -104,15 +123,17 @@ def _decode_reliabilities(reliabilities: np.ndarray,
     pred0, pred1, pattern_from0, pattern_from1 = _trellis_tables(code)
     steps = reliabilities.reshape(num_steps, outputs_per_step)
     pattern_costs = _pattern_costs(steps, outputs_per_step)
+    # Every step's branch costs in two gathers, ahead of the sweep.
+    branch0 = pattern_costs[:, pattern_from0]
+    branch1 = pattern_costs[:, pattern_from1]
 
     metrics = np.full(num_states, np.inf)
     metrics[0] = 0.0                            # encoder starts in state 0
     backpointers = np.empty((num_steps, num_states), dtype=np.uint8)
 
     for step in range(num_steps):
-        costs = pattern_costs[step]
-        candidate0 = metrics[pred0] + costs[pattern_from0]
-        candidate1 = metrics[pred1] + costs[pattern_from1]
+        candidate0 = metrics[pred0] + branch0[step]
+        candidate1 = metrics[pred1] + branch1[step]
         take1 = candidate1 < candidate0
         metrics = np.where(take1, candidate1, candidate0)
         backpointers[step] = take1
@@ -142,33 +163,38 @@ def _decode_reliabilities_batch(reliabilities: np.ndarray,
     require(num_steps > code.num_tail_bits,
             "coded block too short to contain any information bits")
 
-    num_states = code.num_states
-    half = num_states // 2
-    pred0, pred1, pattern_from0, pattern_from1 = _trellis_tables(code)
+    half = code.num_states // 2
+    _, _, pattern_from0, pattern_from1 = _trellis_tables(code)
     steps = reliabilities.reshape(num_blocks, num_steps, outputs_per_step)
     pattern_costs = _pattern_costs(steps, outputs_per_step)
+    # Target state t = h * half + u has predecessors 2u and 2u + 1, so in
+    # a (B, 2, half) layout of the targets both predecessor gathers are
+    # broadcast views of the metrics as (B, half, 2) pairs — the same
+    # adds as the scalar sweep's gathers, without the copies.  Branch
+    # costs for every step are gathered once, ahead of the sweep.
+    branch0 = pattern_costs[:, :, pattern_from0].reshape(
+        num_blocks, num_steps, 2, half).transpose(1, 0, 2, 3)
+    branch1 = pattern_costs[:, :, pattern_from1].reshape(
+        num_blocks, num_steps, 2, half).transpose(1, 0, 2, 3)
 
-    metrics = np.full((num_blocks, num_states), np.inf)
-    metrics[:, 0] = 0.0                         # every encoder starts at 0
-    backpointers = np.empty((num_steps, num_blocks, num_states),
-                            dtype=np.uint8)
+    metrics = np.full((num_blocks, 2, half), np.inf)
+    metrics[:, 0, 0] = 0.0                      # every encoder starts at 0
+    backpointers = np.empty((num_steps, num_blocks, 2, half), dtype=bool)
 
     for step in range(num_steps):
-        costs = pattern_costs[:, step, :]            # (B, patterns)
-        candidate0 = metrics[:, pred0] + costs[:, pattern_from0]
-        candidate1 = metrics[:, pred1] + costs[:, pattern_from1]
-        take1 = candidate1 < candidate0
+        pairs = metrics.reshape(num_blocks, 1, half, 2)
+        candidate0 = pairs[:, :, :, 0] + branch0[step]
+        candidate1 = pairs[:, :, :, 1] + branch1[step]
+        take1 = backpointers[step]
+        np.less(candidate1, candidate0, out=take1)
         metrics = np.where(take1, candidate1, candidate0)
-        backpointers[step] = take1
 
-    # Vectorised traceback: every block walks its own survivor chain
-    # backwards from the terminated state 0 in lockstep.
-    rows = np.arange(num_blocks)
-    state = np.zeros(num_blocks, dtype=np.int64)
-    decisions = np.empty((num_blocks, num_steps), dtype=np.uint8)
-    for step in range(num_steps - 1, -1, -1):
-        decisions[:, step] = state // half
-        state = (state % half) * 2 + backpointers[step, rows, state]
+    # Each block walks its own survivor chain back from the terminated
+    # state 0 — per block in Python, which beats a lockstep numpy walk
+    # at the handful of blocks a frame or a tick holds.
+    survivors = backpointers.reshape(num_steps, num_blocks, 2 * half)
+    decisions = np.stack([_traceback(survivors[:, block], final_state=0)
+                          for block in range(num_blocks)])
     return decisions[:, : num_steps - code.num_tail_bits]
 
 
@@ -229,7 +255,9 @@ def viterbi_decode_soft_batch(reliabilities, code: ConvolutionalCode,
         num_steps = array.shape[1] // code.num_outputs
         return np.empty((0, max(num_steps - code.num_tail_bits, 0)),
                         dtype=np.uint8)
-    if strategy == "scalar":
+    # A one-block stack gains nothing from the block axis: the scalar
+    # sweep is the same float program with less indexing per step.
+    if strategy == "scalar" or array.shape[0] == 1:
         return np.stack([_decode_reliabilities(row, code) for row in array])
     return _decode_reliabilities_batch(array, code)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sphere.batch_search import make_kernel
+from ..sphere.batch_search import _drain_element, make_kernel
 from ..sphere.counters import ComplexityCounters
 from ..sphere.tick_kernel import NO_BUDGET, resolve_tick_strategy, \
     run_hard_to_completion
@@ -133,47 +133,6 @@ def frame_decode_per_subcarrier(decoder, r_stack, y_hat) -> FrameDecodeResult:
                              symbols=symbols.transpose(1, 0, 2),
                              distances_sq=distances.T,
                              counters=totals)
-
-
-def _drain_element(decoder, kernel, element: int, lane: int, r, y_row, diag,
-                   diag_sq, level, parent_flat, radius, chosen, path_cols,
-                   path_rows, best_cols, best_rows, best_dist, tallies,
-                   node_budget: int | None = None):
-    """Finish one search's half-run tree at scalar speed.
-
-    The frame twin of the per-subcarrier engine's drain: the stack of
-    scalar enumerators is rebuilt from the element's *lane* slots while
-    the path/parent state comes from its frame-wide element slots, and
-    the continuation runs against the element's own subcarrier ``R``.
-    ``node_budget`` overrides the decoder's budget for the continuation
-    (the streaming runtime passes its per-lane — possibly
-    deadline-shrunken — budget through here).
-    """
-    ped, visited, expanded, leaves, prunes = tallies
-    counters = ComplexityCounters(
-        ped_calcs=int(ped[element]),
-        visited_nodes=int(visited[element]),
-        expanded_nodes=int(expanded[element]),
-        leaves=int(leaves[element]),
-        geometric_prunes=int(prunes[element]))
-    num_streams = r.shape[1]
-    state_base = element * num_streams
-    kernel_base = lane * num_streams
-    stack = [(lv, float(parent_flat[state_base + lv]),
-              kernel.rebuild(kernel_base + lv, counters))
-             for lv in range(num_streams - 1, int(level[element]) - 1, -1)]
-    return decoder._continue_search(
-        r, y_row, diag, diag_sq, kernel.fresh,
-        stack=stack,
-        radius_sq=float(radius[element]),
-        counters=counters,
-        chosen_symbols=chosen[element].copy(),
-        path_cols=path_cols[element].copy(),
-        path_rows=path_rows[element].copy(),
-        best_cols=best_cols[element].copy(),
-        best_rows=best_rows[element].copy(),
-        best_distance=float(best_dist[element]),
-        node_budget=node_budget)
 
 
 def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,

@@ -40,7 +40,7 @@ import heapq
 
 import numpy as np
 
-from ..sphere.batch_search import make_kernel
+from ..sphere.batch_search import make_kernel, resume_counters, resume_stack
 from ..sphere.counters import ComplexityCounters
 from ..sphere.soft import soft_outputs_from_lists
 from ..sphere.tick_kernel import NO_BUDGET, resolve_tick_strategy, \
@@ -163,31 +163,24 @@ def _drain_soft_element(decoder, kernel, element: int, lane: int, r, y_row,
     for the continuation (the streaming runtime passes its per-lane —
     possibly deadline-shrunken — budget through here).
     """
-    ped, visited, expanded, leaves, prunes = tallies
-    counters = ComplexityCounters(
-        ped_calcs=int(ped[element]),
-        visited_nodes=int(visited[element]),
-        expanded_nodes=int(expanded[element]),
-        leaves=int(leaves[element]),
-        geometric_prunes=int(prunes[element]))
-    num_streams = r.shape[1]
-    state_base = element * num_streams
-    kernel_base = lane * num_streams
-    stack = [(lv, float(parent_flat[state_base + lv]),
-              kernel.rebuild(kernel_base + lv, counters))
-             for lv in range(num_streams - 1, int(level[element]) - 1, -1)]
-    heap = [(-float(list_d[element, slot]), int(list_seq[element, slot]),
-             tuple(list_cols[element, slot]), tuple(list_rows[element, slot]))
-            for slot in range(int(list_n[element]))]
+    counters = resume_counters(tallies, element)
+    count = int(list_n[element])
+    heap = [(-distance, seq, tuple(cols), tuple(rows))
+            for distance, seq, cols, rows in zip(
+                list_d[element, :count].tolist(),
+                list_seq[element, :count].tolist(),
+                list_cols[element, :count].tolist(),
+                list_rows[element, :count].tolist())]
     heapq.heapify(heap)
     return decoder._continue_search_soft(
         r, y_row, diag, diag_sq, kernel.fresh,
-        stack=stack,
+        stack=resume_stack(kernel, element, lane, r.shape[1], level,
+                           parent_flat, counters),
         radius_sq=float(radius[element]),
         counters=counters,
         chosen_symbols=chosen[element].copy(),
-        path_cols=path_cols[element].copy(),
-        path_rows=path_rows[element].copy(),
+        path_cols=path_cols[element].tolist(),
+        path_rows=path_rows[element].tolist(),
         leaf_heap=heap,
         leaf_counter=int(leaf_seq[element]),
         node_budget=node_budget)

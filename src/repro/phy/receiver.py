@@ -29,7 +29,11 @@ import numpy as np
 from ..coding.crc import CRC_BITS, check_crc
 from ..coding.interleaver import deinterleave
 from ..coding.scrambler import descramble
-from ..coding.viterbi import viterbi_decode, viterbi_decode_soft
+from ..coding.viterbi import (
+    viterbi_decode,
+    viterbi_decode_soft,
+    viterbi_decode_soft_batch,
+)
 from ..sphere.counters import ComplexityCounters
 from ..utils.validation import require
 from .config import PhyConfig
@@ -276,8 +280,14 @@ def recover_uplink(detected_indices, num_pad_bits: int,
     tensor = np.asarray(detected_indices)
     require(tensor.ndim == 3,
             "detected indices must be (symbols, subcarriers, clients)")
-    return [recover_stream(tensor[:, :, client], num_pad_bits, config)
-            for client in range(tensor.shape[2])]
+    coded = [stream_coded_bits(tensor[:, :, client], num_pad_bits, config)
+             for client in range(tensor.shape[2])]
+    if config.code is None:
+        return [finish_stream(bits) for bits in coded]
+    # Hard decisions enter the trellis as +-1 reliabilities, exactly as
+    # viterbi_decode maps them.
+    return _decode_streams([1.0 - 2.0 * bits.astype(np.float64)
+                            for bits in coded], config)
 
 
 def recover_uplink_soft(llrs, num_pad_bits: int,
@@ -297,7 +307,24 @@ def recover_uplink_soft(llrs, num_pad_bits: int,
     require(tensor.shape[2] % bits_per_symbol == 0,
             f"LLR depth {tensor.shape[2]} is not a multiple of "
             f"bits_per_symbol {bits_per_symbol}")
+    require(config.code is not None,
+            "soft decoding requires a convolutional code in the config")
     num_clients = tensor.shape[2] // bits_per_symbol
-    return [recover_stream_soft(
+    return _decode_streams([stream_coded_reliabilities(
         tensor[:, :, client * bits_per_symbol:(client + 1) * bits_per_symbol],
-        num_pad_bits, config) for client in range(num_clients)]
+        num_pad_bits, config) for client in range(num_clients)], config)
+
+
+def _decode_streams(rows: list, config: PhyConfig) -> list[StreamDecision]:
+    """Decode a frame's coded streams in ONE batched trellis sweep, then
+    judge each by its CRC.
+
+    Back half of :func:`recover_uplink` and :func:`recover_uplink_soft`:
+    the same grouping :class:`~repro.runtime.decode.DecodeStage` applies
+    across a tick's frames (every stream of one frame shares the code and
+    the coded length), and bit-identical to decoding stream by stream.
+    """
+    if not rows:
+        return []
+    framed = viterbi_decode_soft_batch(np.stack(rows), config.code)
+    return [finish_stream(block) for block in framed]

@@ -266,13 +266,15 @@ class UplinkRuntime:
 
     # -- the tick loop --------------------------------------------------
     def _tick(self) -> list[PendingFrame]:
+        tick_started = self._clock()
         started = time.perf_counter()
         finished = self._engine.tick()
         duration_s = time.perf_counter() - started
         now = self._clock()
         self.stats.record_tick(self._engine.occupancy(), now,
                                duration_s=duration_s,
-                               kernel_s=self._engine.last_tick_kernel_s)
+                               kernel_s=self._engine.last_tick_kernel_s,
+                               started=tick_started)
         resolved = self._complete_all(finished)
         if self.lane_policy == "deadline":
             # Completions first: a frame finishing in the same tick its
@@ -337,7 +339,8 @@ class UplinkRuntime:
             result.counters, priority=handle.priority,
             had_deadline=handle.deadline_at is not None,
             missed_deadline=handle.missed_deadline,
-            stages=self._stage_components(handle, job))
+            stages=self._stage_components(handle, job),
+            started=job.detect_done_at)
         if result.decisions is not None:
             self.stats.record_decisions(result.decisions,
                                         degraded=handle.degraded)
@@ -414,7 +417,9 @@ class UplinkRuntime:
         frame_id = self._next_frame_id
         job = FrameJob(frame_id, frame)      # validates; may raise
         self._next_frame_id += 1
-        self.stats.record_submit(submitted_at)
+        # Busy from arrival through admission (the backpressure ticks
+        # in between are recorded already; the clock stays monotone).
+        self.stats.record_submit(self._clock(), started=submitted_at)
         handle = PendingFrame(frame_id, job.kind, job.metadata,
                               submitted_at, deadline_s=job.deadline_s,
                               priority=job.priority)

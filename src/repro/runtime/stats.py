@@ -139,29 +139,44 @@ class RuntimeStats:
             return MIN_IDLE_GAP_S
         return max(MIN_IDLE_GAP_S, IDLE_GAP_TICKS * self._tick_ema_s)
 
-    def _touch(self, now: float) -> None:
-        """Note one submit/tick/complete event at ``now``: extend the
-        open busy interval, or close it and start a new one if the
-        runtime sat silent for longer than the idle-gap threshold."""
+    def _touch(self, now: float, started: float | None = None) -> None:
+        """Note one submit/tick/complete event ending at ``now`` whose
+        work began at ``started`` (default ``now``): extend the open busy
+        interval, or close it and start a new one if the runtime sat
+        silent for longer than the idle-gap threshold before ``started``.
+        The work itself is busy time however long it ran, so a long
+        tick (a whole straggler drain) never reads as a silence.
+
+        The busy clock is monotone: an event ending before the last one
+        extends nothing rather than moving the interval's end
+        backwards."""
+        began = now if started is None else min(started, now)
         if self._interval_start is None:
-            self._interval_start = now
-        elif now - self._last_event > self._gap_threshold():
+            self._interval_start = began
+        elif now <= self._last_event:
+            return
+        elif began - self._last_event > self._gap_threshold():
             self._busy_s += self._last_event - self._interval_start
-            self._interval_start = now
+            self._interval_start = began
         self._last_event = now
 
     # -- recording hooks (called by the session) ------------------------
-    def record_submit(self, now: float) -> None:
+    def record_submit(self, now: float, started: float | None = None
+                      ) -> None:
+        """One frame admitted at ``now``; ``started`` is its arrival,
+        when the submit (backpressure wait, preprocessing) began."""
         self.frames_submitted += 1
-        self._touch(now)
+        self._touch(now, started)
 
     def record_tick(self, occupancy: float, now: float,
                     duration_s: float | None = None,
-                    kernel_s: float | None = None) -> None:
-        """One engine tick: lane occupancy, plus (when the session
-        measured them) the tick's wall duration and the share of it
-        spent inside kernel work — the numpy step or the compiled
-        cores — as opposed to Python orchestration."""
+                    kernel_s: float | None = None,
+                    started: float | None = None) -> None:
+        """One engine tick ending at ``now`` (begun at ``started``, on
+        the same clock): lane occupancy, plus (when the session measured
+        them) the tick's wall duration and the share of it spent inside
+        kernel work — the numpy step or the compiled cores — as opposed
+        to Python orchestration."""
         self.ticks += 1
         self._occupancy_sum += occupancy
         if duration_s is not None:
@@ -174,7 +189,7 @@ class RuntimeStats:
                     duration_s - self._tick_duration_ema_s)
         if kernel_s is not None:
             self.tick_kernel_s += kernel_s
-        self._touch(now)
+        self._touch(now, started)
         if self._last_tick is not None:
             gap = now - self._last_tick
             # Only in-burst gaps feed the cadence estimate — a burst
@@ -191,7 +206,8 @@ class RuntimeStats:
                         counters: ComplexityCounters, *, priority: int = 0,
                         had_deadline: bool = False,
                         missed_deadline: bool = False,
-                        stages: dict | None = None) -> None:
+                        stages: dict | None = None,
+                        started: float | None = None) -> None:
         self.frames_completed += 1
         self.searches_completed += detections
         self._latencies.append(latency_s)
@@ -211,7 +227,7 @@ class RuntimeStats:
                 self.stage_totals_s[stage] += seconds
                 self._stage_windows[stage].append(seconds)
                 class_windows[stage].append(seconds)
-        self._touch(now)
+        self._touch(now, started)
         self.counters.merge(counters)
         if had_deadline:
             self.deadline_frames_resolved += 1

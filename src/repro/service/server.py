@@ -25,10 +25,31 @@ from __future__ import annotations
 import socket
 import threading
 
+from ..runtime.queue import FrameRequest
 from .protocol import recv_obj, send_obj
 from .router import DetectorFarm
 
 __all__ = ["CellSiteServer"]
+
+#: Each verb and the type of its one argument (``None``: it takes none).
+_VERBS = {"submit": FrameRequest, "poll": None, "cancel": int,
+          "stats": None, "metrics": None}
+
+
+def _request_error(message) -> str | None:
+    """Why ``message`` is not a well-formed request, or ``None``."""
+    if not isinstance(message, tuple) or not message:
+        return f"a request is a non-empty tuple, got {type(message).__name__}"
+    op = message[0]
+    if not isinstance(op, str) or op not in _VERBS:
+        return f"unknown op {op!r}"
+    argument = _VERBS[op]
+    if argument is None:
+        if len(message) != 1:
+            return f"{op!r} takes no argument"
+    elif len(message) != 2 or not isinstance(message[1], argument):
+        return f"{op!r} takes one {argument.__name__} argument"
+    return None
 
 
 class CellSiteServer:
@@ -104,9 +125,23 @@ class CellSiteServer:
             ready.append(owned.pop(frame_id))
 
     def _dispatch(self, message: tuple, owned: dict, ready: list) -> tuple:
+        """Serve one request.  A malformed one — wrong shape, unknown
+        verb, or a frame the farm cannot route — gets ``("error",
+        reason)`` and leaves the connection and its frames as they
+        were."""
+        error = _request_error(message)
+        if error is not None:
+            return ("error", error)
         op = message[0]
         with self._lock:
             if op == "submit":
+                try:
+                    # Routing is pure, so a frame that cannot be routed
+                    # is refused before the farm records anything.
+                    self.farm.route(message[1])
+                except (ValueError, TypeError, AttributeError,
+                        IndexError) as exc:
+                    return ("error", f"cannot route frame: {exc!r}")
                 handle = self.farm.submit(message[1])
                 owned[handle.frame_id] = handle
                 return ("ok", handle.frame_id)
@@ -130,9 +165,7 @@ class CellSiteServer:
                         and self.farm.cancel(handle))
             if op == "stats":
                 return ("ok", self.farm.stats())
-            if op == "metrics":
-                return ("ok", self.farm.metrics())
-            return ("error", f"unknown op {op!r}")
+            return ("ok", self.farm.metrics())
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

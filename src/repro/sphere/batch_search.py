@@ -22,10 +22,11 @@ calls (the contract ``tests/test_batch_search.py`` enforces).  The
 floating-point program is kept operation-for-operation equal to the
 scalar path: residuals come from ``batched_axis_orders`` (already
 bit-exact), candidate and path distances are plain elementwise real
-arithmetic, and interference accumulates column-by-column through the
-complex-multiply ufunc — the same convention the scalar search and the
-K-best batch path use, because BLAS dots and numpy's scalar fast path
-differ from the ufunc loop in the last ulp.
+arithmetic, and interference is the complex-multiply array ufunc's
+products summed column by column (ascending) from zero — the same
+convention the scalar search (one ``np.multiply`` over the row slice)
+and the K-best batch path use, because BLAS dots and numpy's scalar
+fast path differ from the array loop in the last ulp.
 
 Enumerator kernels
 ------------------
@@ -67,7 +68,7 @@ import numpy as np
 
 from .batch import BatchDecodeResult, as_batch_matrix, batched_axis_orders
 from .counters import ComplexityCounters
-from .enumerator import AxisOrder, Candidate
+from .enumerator import AxisOrder, Candidate, pam_axis
 from .exhaustive import ExhaustiveEnumerator
 from .hess import HessEnumerator
 from .shabany import ShabanyEnumerator
@@ -95,23 +96,6 @@ def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
     return out
 
 
-def _rebuild_axis(indices: np.ndarray, residual_sq: np.ndarray,
-                  size: int) -> AxisOrder:
-    """Materialise an :class:`AxisOrder` from kernel state arrays.
-
-    The rows stay views — once an element leaves the lockstep frontier
-    nothing writes its slots again.  ``indices[0]`` is the sliced start
-    level (the zigzag begins there), so the pruning offsets are
-    recomputed exactly as the scalar constructor does.
-    """
-    axis = AxisOrder.__new__(AxisOrder)
-    axis.indices = indices
-    axis.residual_sq = residual_sq
-    axis.offsets = np.abs(indices - indices[0])
-    axis.size = size
-    return axis
-
-
 class _KernelBase:
     """Axis-order state shared by every enumerator kernel.
 
@@ -121,10 +105,17 @@ class _KernelBase:
     of the scalar search.
     """
 
+    #: The scalar enumerator class this kernel vectorises; the straggler
+    #: drain rebuilds and opens instances of it.
+    enumerator: type = None
+    #: Pruning bounds handed to drained enumerators (none by default).
+    bounds = None
+
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
                  ped: np.ndarray, prunes: np.ndarray) -> None:
         self.side = side
         self.levels = levels
+        self.axis = pam_axis(levels)
         self.ped = ped
         self.prunes = prunes
         self.ord_i = np.zeros((num_slots, side), dtype=np.int64)
@@ -162,21 +153,26 @@ class _KernelBase:
         self.ord_q[slots] = order[count:]
         self.res_q[slots] = residual[count:]
 
+    def fresh(self, received: complex, counters: ComplexityCounters):
+        """The scalar enumerator for a node the straggler drain opens,
+        over axes from the Python-native :meth:`PamAxis.order` — the
+        same state the scalar constructor builds, at a fraction of the
+        cost, so the drained tail stays cheap."""
+        axis = self.axis
+        return self.enumerator.from_axes(
+            axis.order(received.real), axis.order(received.imag), counters,
+            self.bounds)
+
     def _axes(self, slot: int) -> tuple[AxisOrder, AxisOrder]:
-        return (_rebuild_axis(self.ord_i[slot], self.res_i[slot], self.side),
-                _rebuild_axis(self.ord_q[slot], self.res_q[slot], self.side))
-
-    def _fresh_axes(self, received: complex) -> tuple[AxisOrder, AxisOrder]:
-        """Axes for a *new* scalar enumerator during the straggler drain.
-
-        One fused ``batched_axis_orders`` call replaces the scalar
-        ``build_axes`` (generator-driven) construction — same values,
-        a fraction of the cost, so the drained tail stays cheap.
-        """
-        coordinates = np.array([received.real, received.imag])
-        order, residual = batched_axis_orders(coordinates, self.levels)
-        return (_rebuild_axis(order[0], residual[0], self.side),
-                _rebuild_axis(order[1], residual[1], self.side))
+        """The slot's two axes as scalar :class:`AxisOrder` objects, for
+        an enumerator the straggler drain resumes."""
+        order_i = self.ord_i[slot, :2].tolist()
+        order_q = self.ord_q[slot, :2].tolist()
+        axis = self.axis
+        return (axis.restore(order_i[0], order_i[-1],
+                             self.res_i[slot].tolist()),
+                axis.restore(order_q[0], order_q[-1],
+                             self.res_q[slot].tolist()))
 
 
 class _ZigzagKernel(_KernelBase):
@@ -189,15 +185,16 @@ class _ZigzagKernel(_KernelBase):
     ``side``; the Shabany subclass widens the bound.
     """
 
+    enumerator = GeosphereEnumerator
     #: extra queue slots beyond ``side`` (transient headroom).
     capacity_slack = 2
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
-                 ped: np.ndarray, prunes: np.ndarray,
-                 table: np.ndarray | None) -> None:
+                 ped: np.ndarray, prunes: np.ndarray, pruner) -> None:
         super().__init__(num_slots, side, levels, ped, prunes)
-        self.table = table
-        if table is not None:
+        self.table = pruner.table if pruner is not None else None
+        self.bounds = pruner.bounds if pruner is not None else None
+        if self.table is not None:
             self.off_i = np.zeros((num_slots, side), dtype=np.int64)
             self.off_q = np.zeros((num_slots, side), dtype=np.int64)
         capacity = self._capacity(side)
@@ -350,9 +347,10 @@ class _ZigzagKernel(_KernelBase):
 
     # -- scalar reconstruction for the straggler drain ------------------
     def _heap_entries(self, slot: int) -> list[tuple[float, int, int]]:
-        entries = [(float(self.heap_d[slot, k]), int(self.heap_i[slot, k]),
-                    int(self.heap_j[slot, k]))
-                   for k in range(int(self.heap_n[slot]))]
+        count = int(self.heap_n[slot])
+        entries = list(zip(self.heap_d[slot, :count].tolist(),
+                           self.heap_i[slot, :count].tolist(),
+                           self.heap_j[slot, :count].tolist()))
         heapq.heapify(entries)
         return entries
 
@@ -366,21 +364,8 @@ class _ZigzagKernel(_KernelBase):
         enum._axis_i, enum._axis_q = self._axes(slot)
         enum._heap = self._heap_entries(slot)
         enum._counters = counters
-        enum._table = self.table
+        enum._table = self.bounds
         enum._last = self._last_pair(slot)
-        return enum
-
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        """Drain-path replacement for the scalar constructor: enqueue the
-        sliced point ``(0, 0)``, count its one PED calculation."""
-        enum = GeosphereEnumerator.__new__(GeosphereEnumerator)
-        enum._axis_i, enum._axis_q = self._fresh_axes(received)
-        counters.ped_calcs += 1
-        enum._heap = [(float(enum._axis_i.residual_sq[0]
-                             + enum._axis_q.residual_sq[0]), 0, 0)]
-        enum._counters = counters
-        enum._table = self.table
-        enum._last = None
         return enum
 
 
@@ -393,10 +378,11 @@ class _ShabanyKernel(_ZigzagKernel):
     in ``_admit`` keeps the bound honest.
     """
 
+    enumerator = ShabanyEnumerator
     capacity_slack = 4
 
-    def __init__(self, num_slots, side, levels, ped, prunes, table) -> None:
-        super().__init__(num_slots, side, levels, ped, prunes, table)
+    def __init__(self, num_slots, side, levels, ped, prunes, pruner) -> None:
+        super().__init__(num_slots, side, levels, ped, prunes, pruner)
         self.seen = np.zeros((num_slots, side * side), dtype=bool)
 
     def _capacity(self, side: int) -> int:
@@ -448,25 +434,15 @@ class _ShabanyKernel(_ZigzagKernel):
         enum._seen = {(int(p) // self.side, int(p) % self.side)
                       for p in np.flatnonzero(self.seen[slot])}
         enum._counters = counters
-        enum._table = self.table
+        enum._table = self.bounds
         enum._last = self._last_pair(slot)
-        return enum
-
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        enum = ShabanyEnumerator.__new__(ShabanyEnumerator)
-        enum._axis_i, enum._axis_q = self._fresh_axes(received)
-        counters.ped_calcs += 1
-        enum._heap = [(float(enum._axis_i.residual_sq[0]
-                             + enum._axis_q.residual_sq[0]), 0, 0)]
-        enum._seen = {(0, 0)}
-        enum._counters = counters
-        enum._table = self.table
-        enum._last = None
         return enum
 
 
 class _HessKernel(_KernelBase):
     """Vectorised :class:`HessEnumerator` (ETH-SD row-parallel zigzag)."""
+
+    enumerator = HessEnumerator
 
     def __init__(self, num_slots, side, levels, ped, prunes) -> None:
         super().__init__(num_slots, side, levels, ped, prunes)
@@ -528,20 +504,11 @@ class _HessKernel(_KernelBase):
         enum._counters = counters
         return enum
 
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        enum = HessEnumerator.__new__(HessEnumerator)
-        enum._axis_i, enum._axis_q = self._fresh_axes(received)
-        enum._counters = counters
-        enum._row_position = np.zeros(self.side, dtype=np.int64)
-        enum._row_distance = (enum._axis_i.residual_sq[0]
-                              + enum._axis_q.residual_sq)
-        counters.ped_calcs += self.side
-        enum._pending_refill = None
-        return enum
-
 
 class _ExhaustiveKernel(_KernelBase):
     """Vectorised :class:`ExhaustiveEnumerator` (sort on node entry)."""
+
+    enumerator = ExhaustiveEnumerator
 
     def __init__(self, num_slots, side, levels, ped, prunes) -> None:
         super().__init__(num_slots, side, levels, ped, prunes)
@@ -595,22 +562,6 @@ class _ExhaustiveKernel(_KernelBase):
         enum._cursor = int(self.cursor[slot])
         return enum
 
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        axis_i, axis_q = self._fresh_axes(received)
-        distances = axis_i.residual_sq[:, None] + axis_q.residual_sq[None, :]
-        counters.ped_calcs += distances.size
-        flat = distances.reshape(-1)
-        positions = np.argsort(flat, kind="stable")
-        side = self.side
-        enum = ExhaustiveEnumerator.__new__(ExhaustiveEnumerator)
-        enum._candidates = [
-            Candidate(col=int(axis_i.indices[p // side]),
-                      row=int(axis_q.indices[p % side]),
-                      dist_sq=float(flat[p]))
-            for p in positions]
-        enum._cursor = 0
-        return enum
-
 
 def make_kernel(decoder, num_slots: int, levels: np.ndarray,
                 ped: np.ndarray, prunes: np.ndarray):
@@ -624,49 +575,72 @@ def make_kernel(decoder, num_slots: int, levels: np.ndarray,
     """
     side = int(levels.shape[0])
     pruner = decoder._pruner
-    table = pruner.table if pruner is not None else None
     name = decoder.enumerator
     if name == "zigzag":
-        return _ZigzagKernel(num_slots, side, levels, ped, prunes, table)
+        return _ZigzagKernel(num_slots, side, levels, ped, prunes, pruner)
     if name == "shabany":
-        return _ShabanyKernel(num_slots, side, levels, ped, prunes, table)
+        return _ShabanyKernel(num_slots, side, levels, ped, prunes, pruner)
     if name == "hess":
         return _HessKernel(num_slots, side, levels, ped, prunes)
     return _ExhaustiveKernel(num_slots, side, levels, ped, prunes)
 
 
-def _drain_element(decoder, kernel, element: int, r, y_row, diag, diag_sq,
-                   level, parent, radius, chosen, path_cols, path_rows,
-                   best_cols, best_rows, best_dist, tallies):
-    """Finish one observation's half-run search at scalar speed.
-
-    Rebuilds the stack of scalar enumerators from the kernel arrays and
-    resumes :meth:`SphereDecoder._continue_search` with the element's
-    radius, path and counter state, so the continuation is bit-identical
-    to having run the scalar search from the start.
-    """
+def resume_counters(tallies, element: int) -> ComplexityCounters:
+    """One search's complexity tallies so far, as scalar counters the
+    continuation keeps counting on."""
     ped, visited, expanded, leaves, prunes = tallies
-    counters = ComplexityCounters(
+    return ComplexityCounters(
         ped_calcs=int(ped[element]),
         visited_nodes=int(visited[element]),
         expanded_nodes=int(expanded[element]),
         leaves=int(leaves[element]),
         geometric_prunes=int(prunes[element]))
-    num_streams = r.shape[1]
-    base = element * num_streams
-    stack = [(lv, float(parent[base + lv]), kernel.rebuild(base + lv, counters))
-             for lv in range(num_streams - 1, int(level[element]) - 1, -1)]
+
+
+def resume_stack(kernel, element: int, lane: int, num_streams: int, level,
+                 parent_flat, counters: ComplexityCounters) -> list:
+    """Rebuild one half-run search's stack of scalar enumerators.
+
+    The enumerators come from the search's *lane* slots in ``kernel``;
+    the stack levels and parent distances from its *element* slots (the
+    two coincide for the per-subcarrier engine and the runtime)."""
+    top = num_streams - 1
+    bottom = int(level[element])
+    state_base = element * num_streams
+    kernel_base = lane * num_streams
+    parents = parent_flat[state_base:state_base + num_streams].tolist()
+    return [(lv, parents[lv], kernel.rebuild(kernel_base + lv, counters))
+            for lv in range(top, bottom - 1, -1)]
+
+
+def _drain_element(decoder, kernel, element: int, lane: int, r, y_row, diag,
+                   diag_sq, level, parent_flat, radius, chosen, path_cols,
+                   path_rows, best_cols, best_rows, best_dist, tallies,
+                   node_budget: int | None = None):
+    """Finish one search's half-run tree at scalar speed.
+
+    Rebuilds the stack of scalar enumerators from the kernel arrays and
+    resumes :meth:`SphereDecoder._continue_search` with the search's
+    radius, path and counter state, so the continuation is bit-identical
+    to having run the scalar search from the start.
+    ``node_budget`` overrides the decoder's budget for the continuation
+    (the streaming runtime passes its per-lane — possibly
+    deadline-shrunken — budget through here).
+    """
+    counters = resume_counters(tallies, element)
     return decoder._continue_search(
         r, y_row, diag, diag_sq, kernel.fresh,
-        stack=stack,
+        stack=resume_stack(kernel, element, lane, r.shape[1], level,
+                           parent_flat, counters),
         radius_sq=float(radius[element]),
         counters=counters,
         chosen_symbols=chosen[element].copy(),
-        path_cols=path_cols[element].copy(),
-        path_rows=path_rows[element].copy(),
-        best_cols=best_cols[element].copy(),
-        best_rows=best_rows[element].copy(),
-        best_distance=float(best_dist[element]))
+        path_cols=path_cols[element].tolist(),
+        path_rows=path_rows[element].tolist(),
+        best_cols=best_cols[element].tolist(),
+        best_rows=best_rows[element].tolist(),
+        best_distance=float(best_dist[element]),
+        node_budget=node_budget)
 
 
 def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
@@ -788,7 +762,7 @@ def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
         if active.size <= drain_threshold:
             for element in active.tolist():
                 drained[element] = _drain_element(
-                    decoder, kernel, element, r, batch[element], diag,
+                    decoder, kernel, element, element, r, batch[element], diag,
                     diag_sq, level, parent, radius, chosen, path_cols,
                     path_rows, best_cols, best_rows, best_dist, tallies)
             if trace is not None:

@@ -371,10 +371,10 @@ class SphereDecoder:
             radius_sq=self.initial_radius_sq,
             counters=counters,
             chosen_symbols=np.zeros(num_streams, dtype=np.complex128),
-            path_cols=np.zeros(num_streams, dtype=np.int64),
-            path_rows=np.zeros(num_streams, dtype=np.int64),
-            best_cols=np.full(num_streams, -1, dtype=np.int64),
-            best_rows=np.full(num_streams, -1, dtype=np.int64),
+            path_cols=[0] * num_streams,
+            path_rows=[0] * num_streams,
+            best_cols=[-1] * num_streams,
+            best_rows=[-1] * num_streams,
             best_distance=np.inf)
 
     def _continue_search(self, r: np.ndarray, y_hat: np.ndarray,
@@ -394,50 +394,68 @@ class SphereDecoder:
         deadline-shrunken) per-lane budget so a degraded frame drained
         through the scalar path stops at the same cap the lockstep lanes
         enforce.
+
+        ``chosen_symbols`` is a complex array (written in place); the
+        path and best-leaf positions are Python lists.  The loop runs on
+        Python scalars — counters, path state, ``diag_sq`` and the
+        levels — because per node numpy scalar access costs more than
+        the search itself; the float program is unchanged.
         """
         num_streams = r.shape[1]
-        levels = self.constellation.levels
+        levels = self.constellation.levels.tolist()
+        diag_sq = diag_sq.tolist()
+        # Row l's entries right of the diagonal: the interference
+        # coefficients of the levels decided above l.
+        upper = [r[row, row + 1:] for row in range(num_streams)]
         if node_budget is None:
             node_budget = self.node_budget
+        visited = counters.visited_nodes
+        expanded = counters.expanded_nodes
+        leaves = counters.leaves
         while stack:
-            if node_budget is not None and counters.visited_nodes >= node_budget:
+            if node_budget is not None and visited >= node_budget:
                 break
             level, parent_distance, enumerator = stack[-1]
-            budget = (radius_sq - parent_distance) / diag_sq[level]
-            candidate = enumerator.next_candidate(budget)
+            scale = diag_sq[level]
+            candidate = enumerator.next_candidate(
+                (radius_sq - parent_distance) / scale)
             if candidate is None:
                 stack.pop()
                 continue
-            distance = parent_distance + diag_sq[level] * candidate.dist_sq
+            col, row, dist_sq = candidate
+            distance = parent_distance + scale * dist_sq
             if distance >= radius_sq:  # defensive; enumerators respect budget
                 continue
-            counters.visited_nodes += 1
-            path_cols[level] = candidate.col
-            path_rows[level] = candidate.row
-            chosen_symbols[level] = levels[candidate.col] + 1j * levels[candidate.row]
+            visited += 1
+            path_cols[level] = col
+            path_rows[level] = row
+            chosen_symbols[level] = levels[col] + 1j * levels[row]
             if level == 0:
-                counters.leaves += 1
+                leaves += 1
                 radius_sq = distance
                 best_distance = distance
-                best_cols[:] = path_cols
-                best_rows[:] = path_rows
+                best_cols = path_cols.copy()
+                best_rows = path_rows.copy()
                 continue
             next_level = level - 1
-            # Accumulate column-by-column (ascending), multiplying via the
-            # ufunc: BLAS dot products and numpy's scalar-fast-path complex
-            # multiply both differ from the array loop in the last ulp, and
-            # the frontier engine's vectorised accumulation must match this
-            # exactly (the same convention the K-best batch path uses).
-            interference = 0.0 + 0.0j
-            for column in range(next_level + 1, num_streams):
-                interference = interference + np.multiply(
-                    r[next_level, column], chosen_symbols[column])
+            # Multiply through one array-ufunc call over the row slice,
+            # then sum the products column by column (ascending) from
+            # zero: the frontier engines' exact float program (BLAS dot
+            # products and numpy's scalar-fast-path complex multiply both
+            # differ from the array loop in the last ulp).
+            interference = 0j
+            for product in np.multiply(upper[next_level],
+                                       chosen_symbols[level:]).tolist():
+                interference = interference + product
             received_point = complex((y_hat[next_level] - interference)
                                      / diag[next_level])
-            counters.expanded_nodes += 1
+            expanded += 1
             stack.append((next_level, distance,
                           make_enumerator(received_point, counters)))
 
+        counters.visited_nodes = visited
+        counters.expanded_nodes = expanded
+        counters.leaves = leaves
         counters.complex_mults = counters.ped_calcs * (num_streams + 1)
         found = bool(np.isfinite(best_distance))
         if found:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..constellation.qam import QamConstellation
 from .counters import ComplexityCounters
-from .enumerator import Candidate, build_axes
+from .enumerator import AxisOrder, Candidate, build_axes
 
 __all__ = ["ExhaustiveEnumerator"]
 
@@ -25,8 +25,21 @@ class ExhaustiveEnumerator:
 
     def __init__(self, constellation: QamConstellation, received: complex,
                  counters: ComplexityCounters) -> None:
-        axis_i, axis_q = build_axes(constellation, received)
-        distances = (axis_i.residual_sq[:, None] + axis_q.residual_sq[None, :])
+        self._open(*build_axes(constellation, received), counters)
+
+    @classmethod
+    def from_axes(cls, axis_i: AxisOrder, axis_q: AxisOrder,
+                  counters: ComplexityCounters, bounds=None):
+        """An enumerator over already-built axes — how the frontier
+        engines' straggler drain opens a node.  ``bounds`` keeps the
+        signature uniform across enumerators; this one never prunes."""
+        enumerator = cls.__new__(cls)
+        enumerator._open(axis_i, axis_q, counters)
+        return enumerator
+
+    def _open(self, axis_i, axis_q, counters) -> None:
+        distances = (np.array(axis_i.residual_sq)[:, None]
+                     + np.array(axis_q.residual_sq)[None, :])
         counters.ped_calcs += distances.size
         flat = distances.reshape(-1)
         # Stable ordering: distance first, then position indices, matching

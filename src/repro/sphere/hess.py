@@ -21,7 +21,7 @@ import numpy as np
 
 from ..constellation.qam import QamConstellation
 from .counters import ComplexityCounters
-from .enumerator import Candidate, build_axes
+from .enumerator import AxisOrder, Candidate, build_axes
 
 __all__ = ["HessEnumerator"]
 
@@ -36,7 +36,21 @@ class HessEnumerator:
                  counters: ComplexityCounters) -> None:
         # Both axes share the node's received point; every row uses the
         # same zigzag order over columns (they share the I coordinate).
-        self._axis_i, self._axis_q = build_axes(constellation, received)
+        self._open(*build_axes(constellation, received), counters)
+
+    @classmethod
+    def from_axes(cls, axis_i: AxisOrder, axis_q: AxisOrder,
+                  counters: ComplexityCounters, bounds=None):
+        """An enumerator over already-built axes — how the frontier
+        engines' straggler drain opens a node.  ``bounds`` keeps the
+        signature uniform across enumerators; this one never prunes."""
+        enumerator = cls.__new__(cls)
+        enumerator._open(axis_i, axis_q, counters)
+        return enumerator
+
+    def _open(self, axis_i, axis_q, counters) -> None:
+        self._axis_i = axis_i
+        self._axis_q = axis_q
         self._counters = counters
         side = self._axis_q.size
         # Per-row pointer into the column zigzag order; -1 marks exhausted.

@@ -43,11 +43,18 @@ class GeometricPruner:
         self.constellation = constellation
         self._table = lower_bound_sq_table(constellation.side, constellation.scale)
         self._table.setflags(write=False)
+        self._bounds = tuple(tuple(row) for row in self._table.tolist())
 
     @property
     def table(self) -> np.ndarray:
         """The ``(side, side)`` table of squared lower bounds."""
         return self._table
+
+    @property
+    def bounds(self) -> tuple:
+        """The same table as nested tuples of Python floats — what the
+        scalar enumerators index one entry at a time."""
+        return self._bounds
 
     def lower_bound_sq(self, col_offset: int, row_offset: int) -> float:
         """Squared lower bound for a candidate at the given index offsets

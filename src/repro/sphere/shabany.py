@@ -23,7 +23,7 @@ import heapq
 
 from ..constellation.qam import QamConstellation
 from .counters import ComplexityCounters
-from .enumerator import Candidate, build_axes
+from .enumerator import AxisOrder, Candidate, build_axes
 from .pruning import GeometricPruner
 
 __all__ = ["ShabanyEnumerator"]
@@ -38,16 +38,31 @@ class ShabanyEnumerator:
     def __init__(self, constellation: QamConstellation, received: complex,
                  counters: ComplexityCounters,
                  pruner: GeometricPruner | None = None) -> None:
-        self._axis_i, self._axis_q = build_axes(constellation, received)
+        self._open(*build_axes(constellation, received), counters,
+                   pruner.bounds if pruner is not None else None)
+
+    @classmethod
+    def from_axes(cls, axis_i: AxisOrder, axis_q: AxisOrder,
+                  counters: ComplexityCounters, bounds=None):
+        """An enumerator over already-built axes — how the frontier
+        engines' straggler drain opens a node (``bounds`` as in
+        :attr:`GeometricPruner.bounds`)."""
+        enumerator = cls.__new__(cls)
+        enumerator._open(axis_i, axis_q, counters, bounds)
+        return enumerator
+
+    def _open(self, axis_i, axis_q, counters, bounds) -> None:
+        self._axis_i = axis_i
+        self._axis_q = axis_q
         self._heap: list[tuple[float, int, int]] = []
         self._seen: set[tuple[int, int]] = {(0, 0)}
         self._counters = counters
-        self._table = pruner.table if pruner is not None else None
+        self._table = bounds
         self._last: tuple[int, int] | None = None
         self._enqueue(0, 0)
 
     def _enqueue(self, i: int, j: int) -> None:
-        distance = float(self._axis_i.residual_sq[i] + self._axis_q.residual_sq[j])
+        distance = self._axis_i.residual_sq[i] + self._axis_q.residual_sq[j]
         self._counters.ped_calcs += 1
         heapq.heappush(self._heap, (distance, i, j))
 
@@ -58,7 +73,8 @@ class ShabanyEnumerator:
             return
         self._seen.add((i, j))
         if self._table is not None:
-            bound = self._table[self._axis_i.offsets[i], self._axis_q.offsets[j]]
+            bound = (self._table[self._axis_i.offsets[i]]
+                     [self._axis_q.offsets[j]])
             if bound >= budget_sq:
                 self._counters.geometric_prunes += 1
                 return
@@ -76,9 +92,8 @@ class ShabanyEnumerator:
             return None
         distance, i, j = heapq.heappop(heap)
         self._last = (i, j)
-        return Candidate(col=int(self._axis_i.indices[i]),
-                         row=int(self._axis_q.indices[j]),
-                         dist_sq=distance)
+        return Candidate(self._axis_i.indices[i], self._axis_q.indices[j],
+                         distance)
 
     @property
     def queue_length(self) -> int:

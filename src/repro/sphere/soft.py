@@ -19,8 +19,9 @@ with the scalar loop below kept as the bit-exact differential baseline.
 Bit-exactness contract
 ----------------------
 The scalar search here is the reference program for the frame engine:
-interference accumulates column-by-column through the complex-multiply
-ufunc (the convention the vectorised engines match bit-for-bit), leaf
+interference is one complex-multiply array-ufunc call over the row
+slice, its products summed column by column (ascending) from zero (the
+convention the vectorised engines match bit-for-bit), leaf
 lists follow ``heapq`` tuple order exactly — worst member = largest
 distance, ties broken towards the earliest-found leaf — and LLR
 extraction goes through the same vectorised
@@ -378,8 +379,8 @@ class ListSphereDecoder:
             radius_sq=float("inf"),
             counters=counters,
             chosen_symbols=np.zeros(num_streams, dtype=np.complex128),
-            path_cols=np.zeros(num_streams, dtype=np.int64),
-            path_rows=np.zeros(num_streams, dtype=np.int64),
+            path_cols=[0] * num_streams,
+            path_rows=[0] * num_streams,
             leaf_heap=[],
             leaf_counter=0)
 
@@ -403,30 +404,39 @@ class ListSphereDecoder:
         overrides the decoder's own budget for this continuation — the
         streaming runtime passes the (possibly deadline-shrunken)
         per-lane budget so a degraded frame drained through the scalar
-        path stops at the same cap the lockstep lanes enforce.
+        path stops at the same cap the lockstep lanes enforce.  As in the
+        hard loop, ``chosen_symbols`` is a complex array, the path
+        positions are Python lists, and the loop itself runs on Python
+        scalars.
         """
         num_streams = r.shape[1]
-        levels = self.constellation.levels
+        levels = self.constellation.levels.tolist()
+        diag_sq = diag_sq.tolist()
+        upper = [r[row, row + 1:] for row in range(num_streams)]
         list_size = self.list_size
         if node_budget is None:
             node_budget = self.node_budget
+        visited = counters.visited_nodes
+        expanded = counters.expanded_nodes
+        leaves = counters.leaves
         while stack:
-            if node_budget is not None and counters.visited_nodes >= node_budget:
+            if node_budget is not None and visited >= node_budget:
                 break
             level, parent_distance, enumerator = stack[-1]
-            budget = (radius_sq - parent_distance) / diag_sq[level]
-            candidate = enumerator.next_candidate(budget)
+            scale = diag_sq[level]
+            candidate = enumerator.next_candidate(
+                (radius_sq - parent_distance) / scale)
             if candidate is None:
                 stack.pop()
                 continue
-            distance = parent_distance + diag_sq[level] * candidate.dist_sq
-            counters.visited_nodes += 1
-            path_cols[level] = candidate.col
-            path_rows[level] = candidate.row
-            chosen_symbols[level] = (levels[candidate.col]
-                                     + 1j * levels[candidate.row])
+            col, row, dist_sq = candidate
+            distance = parent_distance + scale * dist_sq
+            visited += 1
+            path_cols[level] = col
+            path_rows[level] = row
+            chosen_symbols[level] = levels[col] + 1j * levels[row]
             if level == 0:
-                counters.leaves += 1
+                leaves += 1
                 leaf_counter += 1
                 entry = (-distance, leaf_counter, tuple(path_cols),
                          tuple(path_rows))
@@ -440,19 +450,23 @@ class ListSphereDecoder:
                     radius_sq = -leaf_heap[0][0]
                 continue
             next_level = level - 1
-            # Accumulate column-by-column (ascending), multiplying via the
-            # ufunc — the hard scalar search's convention, which the
-            # vectorised frame engine matches bit-for-bit.
-            interference = 0.0 + 0.0j
-            for column in range(next_level + 1, num_streams):
-                interference = interference + np.multiply(
-                    r[next_level, column], chosen_symbols[column])
+            # One array-ufunc multiply over the row slice, products
+            # summed column by column (ascending) from zero — the hard
+            # scalar search's convention, which the vectorised frame
+            # engine matches bit-for-bit.
+            interference = 0j
+            for product in np.multiply(upper[next_level],
+                                       chosen_symbols[level:]).tolist():
+                interference = interference + product
             received_point = complex((y_hat[next_level] - interference)
                                      / diag[next_level])
-            counters.expanded_nodes += 1
+            expanded += 1
             stack.append((next_level, distance,
                           make_enumerator(received_point, counters)))
 
+        counters.visited_nodes = visited
+        counters.expanded_nodes = expanded
+        counters.leaves = leaves
         counters.complex_mults = counters.ped_calcs * (num_streams + 1)
         return _ListSearchState(heap=leaf_heap, leaf_counter=leaf_counter,
                                 counters=counters)

@@ -37,7 +37,7 @@ import heapq
 
 from ..constellation.qam import QamConstellation
 from .counters import ComplexityCounters
-from .enumerator import Candidate, build_axes
+from .enumerator import AxisOrder, Candidate, build_axes
 from .pruning import GeometricPruner
 
 __all__ = ["GeosphereEnumerator"]
@@ -51,17 +51,32 @@ class GeosphereEnumerator:
     def __init__(self, constellation: QamConstellation, received: complex,
                  counters: ComplexityCounters,
                  pruner: GeometricPruner | None = None) -> None:
-        self._axis_i, self._axis_q = build_axes(constellation, received)
+        self._open(*build_axes(constellation, received), counters,
+                   pruner.bounds if pruner is not None else None)
+
+    @classmethod
+    def from_axes(cls, axis_i: AxisOrder, axis_q: AxisOrder,
+                  counters: ComplexityCounters, bounds=None):
+        """An enumerator over already-built axes — how the frontier
+        engines' straggler drain opens a node (``bounds`` as in
+        :attr:`GeometricPruner.bounds`)."""
+        enumerator = cls.__new__(cls)
+        enumerator._open(axis_i, axis_q, counters, bounds)
+        return enumerator
+
+    def _open(self, axis_i, axis_q, counters, bounds) -> None:
+        self._axis_i = axis_i
+        self._axis_q = axis_q
         self._heap: list[tuple[float, int, int]] = []
         self._counters = counters
-        self._table = pruner.table if pruner is not None else None
+        self._table = bounds
         self._last: tuple[int, int] | None = None
         # Step 2 of the paper's algorithm: slice and enqueue the closest
         # point.  Its lower bound is zero, so it is never pruned.
         self._enqueue(0, 0)
 
     def _enqueue(self, i: int, j: int) -> None:
-        distance = float(self._axis_i.residual_sq[i] + self._axis_q.residual_sq[j])
+        distance = self._axis_i.residual_sq[i] + self._axis_q.residual_sq[j]
         self._counters.ped_calcs += 1
         heapq.heappush(self._heap, (distance, i, j))
 
@@ -69,7 +84,8 @@ class GeosphereEnumerator:
         if i >= self._axis_i.size or j >= self._axis_q.size:
             return
         if self._table is not None:
-            bound = self._table[self._axis_i.offsets[i], self._axis_q.offsets[j]]
+            bound = (self._table[self._axis_i.offsets[i]]
+                     [self._axis_q.offsets[j]])
             if bound >= budget_sq:
                 # Everything farther along this chain is dominated: larger
                 # offsets, shrinking budget.  Drop without computing.
@@ -92,9 +108,8 @@ class GeosphereEnumerator:
             return None
         distance, i, j = heapq.heappop(heap)
         self._last = (i, j)
-        return Candidate(col=int(self._axis_i.indices[i]),
-                         row=int(self._axis_q.indices[j]),
-                         dist_sq=distance)
+        return Candidate(self._axis_i.indices[i], self._axis_q.indices[j],
+                         distance)
 
     @property
     def queue_length(self) -> int:

@@ -352,6 +352,21 @@ class TestScrambler:
         with pytest.raises(ValueError):
             scramble(np.zeros(8, dtype=np.uint8), seed=0)
 
+    def test_cached_sequence_cannot_be_mutated_through_a_caller(self):
+        """The sequence is memoised per (length, seed), so it is handed
+        out read-only; scramble() still returns fresh, writable arrays."""
+        sequence = scrambler_sequence(96)
+        assert scrambler_sequence(96) is sequence
+        assert not sequence.flags.writeable
+        expected = sequence.copy()
+        with pytest.raises(ValueError):
+            sequence[0] ^= 1
+        scrambled = scramble(np.zeros(96, dtype=np.uint8))
+        assert scrambled.flags.writeable
+        scrambled ^= 1
+        assert (scrambler_sequence(96) == expected).all()
+        assert (scramble(np.zeros(96, dtype=np.uint8)) == expected).all()
+
 
 class TestCrc:
     def test_detects_single_bit_flip(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constellation import qam
+from repro.constellation.pam import slice_to_index, zigzag_indices
 from repro.sphere import (
     ComplexityCounters,
     ExhaustiveEnumerator,
@@ -18,7 +19,9 @@ from repro.sphere import (
     GeosphereEnumerator,
     HessEnumerator,
     ShabanyEnumerator,
+    batched_axis_orders,
 )
+from repro.sphere.enumerator import pam_axis
 
 ORDERS = [4, 16, 64, 256]
 
@@ -233,3 +236,76 @@ def test_far_outside_point_enumerates_from_corner(received):
     assert len(candidates) == 16
     distances = [c.dist_sq for c in candidates]
     assert all(a <= b + 1e-9 for a, b in zip(distances, distances[1:]))
+
+
+# ----------------------------------------------------------------------
+# The tabled, Python-native axis constructor behind the straggler drain
+# ----------------------------------------------------------------------
+
+def _reference_axis(coordinate, levels):
+    """Slice with ``slice_to_index``, walk with the ``zigzag_indices``
+    generator — the textbook construction, independent of any table."""
+    side = levels.shape[0]
+    scale = float(levels[1] - levels[0]) / 2.0
+    start = slice_to_index(coordinate, side, scale)
+    order = list(zigzag_indices(start, side,
+                                bool(coordinate >= levels[start])))
+    residuals = levels[order] - coordinate
+    return order, residuals * residuals, [abs(index - start)
+                                          for index in order]
+
+
+def _edge_coordinates(side):
+    """Every level, every midpoint between two levels, +-0.0, and points
+    far outside the constellation."""
+    levels = qam(side * side).levels.tolist()
+    midpoints = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+    return levels + midpoints + [0.0, -0.0, 1e3, -1e3, 1e300, -1e300]
+
+
+axis_coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from(sorted({value for side in (2, 4, 8)
+                            for value in _edge_coordinates(side)})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate=axis_coordinates, side=st.sampled_from([2, 4, 8]))
+def test_pam_axis_matches_reference_construction(coordinate, side):
+    """PamAxis.order — shared by the drain's fresh nodes — equals the
+    reference slice-and-walk construction: the same level indices and
+    offsets, and residuals equal bit for bit.  Its restore() from the
+    first two walk indices, as the drain rebuilds kernel slots, yields
+    the same walk, and so does the frontier's batched ordering."""
+    levels = qam(side * side).levels
+    axis = pam_axis(levels).order(coordinate)
+    indices, residual_sq, offsets = _reference_axis(coordinate, levels)
+    assert list(axis.indices) == indices
+    assert list(axis.offsets) == offsets
+    assert axis.size == side
+    np.testing.assert_array_equal(
+        np.array(axis.residual_sq).view(np.uint64),
+        residual_sq.view(np.uint64))
+    restored = pam_axis(levels).restore(indices[0], indices[1],
+                                        axis.residual_sq)
+    assert restored.indices == axis.indices
+    assert restored.offsets == axis.offsets
+    order, batched_sq = batched_axis_orders(np.array([coordinate]), levels)
+    assert order[0].tolist() == indices
+    np.testing.assert_array_equal(batched_sq[0].view(np.uint64),
+                                  residual_sq.view(np.uint64))
+
+
+@pytest.mark.parametrize("side", [2, 4, 8])
+def test_pam_axis_edge_coordinates(side):
+    """The edge cases the property draws only by chance, all of them."""
+    levels = qam(side * side).levels
+    for coordinate in _edge_coordinates(side):
+        axis = pam_axis(levels).order(coordinate)
+        indices, residual_sq, offsets = _reference_axis(coordinate, levels)
+        assert list(axis.indices) == indices, coordinate
+        assert list(axis.offsets) == offsets, coordinate
+        np.testing.assert_array_equal(
+            np.array(axis.residual_sq).view(np.uint64),
+            residual_sq.view(np.uint64))

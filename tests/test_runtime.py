@@ -9,6 +9,9 @@ constellations, stream counts and SNRs in one runtime, and the
 hypothesis property randomises the interleaving itself.
 """
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -603,6 +606,42 @@ def test_stats_zero_width_interval_reports_inf_not_zero():
     summary = stats.summary()
     assert summary["frames_per_second"] == float("inf")
     assert summary["latency_percentiles_s"][99] == 0.0
+
+
+def test_stats_busy_clock_ignores_earlier_stamps():
+    """An event stamped before the last recorded one (a submit stamped on
+    arrival, recorded after the backpressure ticks it waited through)
+    must not move the busy clock backwards."""
+    stats = RuntimeStats()
+    stats.record_submit(1.0)
+    stats.record_tick(0.5, 1.0005)
+    stats.record_submit(1.0002)
+    assert stats.elapsed_s == pytest.approx(0.0005)
+    stats.record_tick(0.5, 1.001)
+    assert stats.elapsed_s == pytest.approx(0.001)
+
+
+def test_busy_clock_matches_wall_clock_under_backpressure():
+    """Regression: the benchmarks' pipelined stream (16-QAM 4x4 x 64
+    subcarriers, 24 four-symbol frames at 21 dB, default in-flight
+    budget) submits past the budget, so every late submit ticks the
+    engine before its arrival stamp is recorded.  The busy clock used to
+    run backwards there: ``elapsed_s`` ended negative and frames/sec read
+    ``inf``.  The reported rate must match frames per wall second."""
+    rng = np.random.default_rng(7)
+    decoder = SphereDecoder(qam(16))
+    frames = [_make_frame(decoder, 64, 4, 21.0, rng) for _ in range(24)]
+    runtime = UplinkRuntime()
+    started = time.perf_counter()
+    for frame in frames:
+        runtime.submit(frame)
+    runtime.drain()
+    wall_fps = len(frames) / (time.perf_counter() - started)
+    stats = runtime.stats
+    assert stats.frames_completed == len(frames)
+    assert stats.elapsed_s > 0.0
+    assert math.isfinite(stats.frames_per_second())
+    assert stats.frames_per_second() == pytest.approx(wall_fps, rel=0.10)
 
 
 # ----------------------------------------------------------------------

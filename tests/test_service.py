@@ -14,6 +14,8 @@ backend, which forks real workers and therefore stays small and
 targeted.
 """
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.service import (
     request_signature,
     shard_for,
 )
+from repro.service.protocol import recv_obj, send_obj
 from repro.sphere import ListSphereDecoder, SphereDecoder
 
 from test_runtime import _assert_identical, _make_frame, _reference
@@ -271,6 +274,43 @@ def test_client_cancel_over_the_wire():
             payloads = cell.drain()
             assert [p["frame_id"] for p in payloads] == [keeper]
             assert payloads[0]["resolution"] == "completed"
+
+
+def test_malformed_requests_get_error_replies_on_a_live_connection():
+    """Regression: a malformed request — a submit without a frame, an
+    empty tuple, a non-tuple — used to raise inside the server's
+    dispatch, killing the connection thread and cancelling every frame
+    the connection owned.  Each now gets ``("error", reason)``, the
+    connection keeps serving, and its earlier frames still resolve
+    bit-identically."""
+    rng = np.random.default_rng(11)
+    frames = _mixed_frames(rng, repeats=1)
+    malformed = [("submit", "not a frame"), (), "submit", ("submit",),
+                 ("poll", 1), ("cancel", "frame 0"), ("reboot",),
+                 ("submit", _bad_decoder_frame(rng))]
+    with CellSiteServer(DetectorFarm(1, backend="inline")) as server:
+        with socket.create_connection(server.address) as conn:
+            ids = []
+            for frame in frames:
+                send_obj(conn, ("submit", frame))
+                status, frame_id = recv_obj(conn)
+                assert status == "ok"
+                ids.append(frame_id)
+            for message in malformed:
+                send_obj(conn, message)
+                status, reason = recv_obj(conn)
+                assert status == "error", message
+                assert isinstance(reason, str) and reason
+            by_id = {}
+            while len(by_id) < len(ids):
+                send_obj(conn, ("poll",))
+                status, payloads = recv_obj(conn)
+                assert status == "ok"
+                by_id.update((p["frame_id"], p) for p in payloads)
+    for frame_id, frame in zip(ids, frames):
+        assert by_id[frame_id]["resolution"] == "completed"
+        _assert_identical(by_id[frame_id]["result"], _reference(frame),
+                          frame.noise_variance is not None)
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,21 @@ class TestArrayValidation:
         with pytest.raises(ValueError):
             as_bit_array([0, 2])
 
+    @pytest.mark.parametrize("value", [2, 255, -1, 256])
+    def test_bit_array_check_decides_as_the_set_lookup_did(self, value):
+        """The ``> 1`` check after the uint8 cast decides exactly as the
+        ``np.isin(..., (0, 1))`` lookup it replaced: 2, 255 and -1 (255
+        after the cast) are rejected, and 256, which the cast wraps to
+        0, passes as it always did."""
+        cast = np.asarray([0, value]).astype(np.uint8)
+        accepted_before = bool(np.isin(cast, (0, 1)).all())
+        assert accepted_before == (value == 256)
+        if accepted_before:
+            assert as_bit_array([0, value]).tolist() == cast.tolist()
+        else:
+            with pytest.raises(ValueError, match="only 0s and 1s"):
+                as_bit_array([0, value])
+
     def test_bit_array_rejects_matrix(self):
         with pytest.raises(ValueError):
             as_bit_array(np.zeros((2, 2), dtype=np.uint8))
